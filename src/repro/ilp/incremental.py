@@ -36,7 +36,7 @@ The kernel is a drop-in LP backend (same
 slots into :class:`~repro.ilp.resilience.ResilientLPBackend` chains
 unchanged.  :meth:`kernel_telemetry` reports the kernel name,
 warm-start hits, and cache hit rate for the
-``repro.solve_telemetry/v7`` artifact.
+``repro.solve_telemetry/v8`` artifact.
 """
 
 from __future__ import annotations

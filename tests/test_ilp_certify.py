@@ -326,6 +326,42 @@ class TestTamperFixtures:
         assert report.verdict == "REFUTED"
         assert "certified incumbent" in report.reason
 
+    @pytest.mark.parametrize(
+        "mutation, reason",
+        [
+            ("v2_header", "unknown proof schema 'repro.bnb_proof/v2'"),
+            ("cut_record", "unknown record kind 'cut'"),
+        ],
+    )
+    def test_retired_cut_schema_refuted(
+        self, tmp_path, capsys, mutation, reason
+    ):
+        """Logs shaped like the retired cut-carrying schema refute
+        cleanly: the checker knows one schema and no ``cut`` kind."""
+        _, path = _certified_log(tmp_path)
+        records = _load_records(path)
+        if mutation == "v2_header":
+            header = copy.deepcopy(records[0])
+            header["schema"] = "repro.bnb_proof/v2"
+            records[0] = _reseal(header)
+        else:
+            cut = {
+                "kind": "cut",
+                "index": 0,
+                "family": "clique",
+                "coeffs": {"0": 1.0, "1": 1.0},
+                "rhs": 1.0,
+                "cert": {"members": [0, 1], "pairs": [[0, 1, "ub", 0]]},
+            }
+            records.insert(1, _reseal(cut))
+        _dump_records(path, records)
+        report = audit_proof(path)
+        assert report.verdict == "REFUTED"
+        assert report.reason == reason
+        assert audit_main([str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+
 
 class TestKillAndResume:
     def test_interrupted_then_resumed_run_certifies(self, tmp_path):

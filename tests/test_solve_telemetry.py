@@ -241,10 +241,12 @@ class TestPipelinePropagation:
         outcome = tp.partition(chain3_graph, "1A+1M+1S", n_partitions=2,
                                relaxation=2)
         record = telemetry_to_dict(outcome)
-        assert record["schema"] == "repro.solve_telemetry/v7"
+        assert record["schema"] == "repro.solve_telemetry/v8"
         assert record["status"] == "optimal"
         assert record["solve"]["nodes_explored"] >= 1
         assert record["solve"]["lp_calls"] >= 1
+        # v8 dropped the root cut loop's ``solve.cuts`` block.
+        assert "cuts" not in record["solve"]
         path = tmp_path / "telemetry.json"
         save_telemetry(outcome, path)
         saved = json.loads(path.read_text())
