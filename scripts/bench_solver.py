@@ -2,9 +2,7 @@
 """Solver performance benchmark: nodes/sec and LP-ms/node per table row.
 
 Runs the paper's Table 1-4 experiment rows through the branch and bound
-under each LP kernel (``incremental`` — the persistent warm-starting
-model — and the historical per-call ``scipy`` backend) and reports, per
-row and kernel:
+and reports, per row:
 
 * deterministic solve signature — status, objective, nodes explored,
   LP solves (must match the committed baseline exactly; any drift
@@ -80,7 +78,7 @@ def load_baseline(path: Path) -> "dict | None":
         print(f"baseline schema mismatch in {path}", file=sys.stderr)
         return None
     return baseline
-KERNELS = ("incremental", "scipy")
+
 
 #: Fields that must match the baseline bit-for-bit: any drift means
 #: the *search* changed (different tree, different answer), which a
@@ -90,17 +88,15 @@ DETERMINISTIC_FIELDS = ("status", "objective", "nodes_explored", "lp_solves")
 
 def bench_row(
     row,
-    kernel: str,
     time_limit_s: float,
     workers: int = 1,
     heuristics: bool = False,
 ) -> dict:
-    """One row under one kernel -> measured record."""
+    """One row -> measured record."""
     start = time.perf_counter()
     result = run_row(
         row,
         time_limit_s=time_limit_s,
-        lp_kernel=kernel,
         workers=workers,
         heuristics=heuristics,
     )
@@ -121,13 +117,6 @@ def bench_row(
             round(1000.0 * lp_time_s / lp_solves, 4) if lp_solves else None
         ),
     }
-    kernel_block = solve.get("kernel")
-    if kernel_block:
-        record["kernel"] = {
-            "name": kernel_block.get("name"),
-            "cache_hit_rate": kernel_block.get("cache_hit_rate"),
-            "warm_start_hits": kernel_block.get("warm_start_hits"),
-        }
     parallel_block = solve.get("parallel")
     if parallel_block:
         record["parallel"] = {
@@ -149,12 +138,12 @@ def run_ablation_bench(
 ) -> "tuple[dict, list, list]":
     """Heuristics ablation mode: (rows, hard failures, notes).
 
-    Every row runs twice under the incremental kernel — plain, then
-    with the primal heuristics enabled.  The enabled run must reach
-    the *identical* status and objective (heuristics may only speed
-    the search up, never change the answer), and on Table 3/4 rows
-    that solve to optimality it must explore strictly fewer nodes — an
-    early incumbent is worth nothing unless it prunes the tree.
+    Every row runs twice — plain, then with the primal heuristics
+    enabled.  The enabled run must reach the *identical* status and
+    objective (heuristics may only speed the search up, never change
+    the answer), and on Table 3/4 rows that solve to optimality it
+    must explore strictly fewer nodes — an early incumbent is worth
+    nothing unless it prunes the tree.
     Aggregate wall time across the sweep must not regress beyond
     ``tolerance``.
     """
@@ -165,9 +154,9 @@ def run_ablation_bench(
             off_key = f"{row.key}:off"
             on_key = f"{row.key}:heur"
             print(f"  bench {off_key} ...", flush=True)
-            off = bench_row(row, "incremental", time_limit_s)
+            off = bench_row(row, time_limit_s)
             print(f"  bench {on_key} ...", flush=True)
-            on = bench_row(row, "incremental", time_limit_s, heuristics=True)
+            on = bench_row(row, time_limit_s, heuristics=True)
             rows[off_key], rows[on_key] = off, on
             off_time += off["wall_time_s"]
             on_time += on["wall_time_s"]
@@ -214,10 +203,8 @@ def run_bench(tables, time_limit_s: float) -> dict:
     rows = {}
     for table in tables:
         for row in table_rows(table):
-            for kernel in KERNELS:
-                key = f"{row.key}:{kernel}"
-                print(f"  bench {key} ...", flush=True)
-                rows[key] = bench_row(row, kernel, time_limit_s)
+            print(f"  bench {row.key} ...", flush=True)
+            rows[row.key] = bench_row(row, time_limit_s)
     return rows
 
 
@@ -228,8 +215,8 @@ def run_scaling_bench(
     """Parallel scaling mode: (rows, hard failures, informational notes).
 
     Every row runs twice — sequentially and with ``workers`` processes.
-    Parallel status/objective must match the committed incremental
-    baseline exactly (hard failure otherwise: sharding the frontier
+    Parallel status/objective must match the committed baseline
+    exactly (hard failure otherwise: sharding the frontier
     must never change the *answer*).  The aggregate nodes/sec ratio is
     gated against ``min_scaling`` only when the machine actually has
     ``workers`` cores; on smaller machines spawned workers time-slice
@@ -243,9 +230,9 @@ def run_scaling_bench(
             seq_key = f"{row.key}:w1"
             par_key = f"{row.key}:w{workers}"
             print(f"  bench {seq_key} ...", flush=True)
-            seq = bench_row(row, "incremental", time_limit_s)
+            seq = bench_row(row, time_limit_s)
             print(f"  bench {par_key} ...", flush=True)
-            par = bench_row(row, "incremental", time_limit_s, workers=workers)
+            par = bench_row(row, time_limit_s, workers=workers)
             rows[seq_key], rows[par_key] = seq, par
             seq_nodes += seq["nodes_explored"]
             seq_time += seq["wall_time_s"]
@@ -253,7 +240,7 @@ def run_scaling_bench(
             par_time += par["wall_time_s"]
             # The answer gate: vs the committed baseline when it has
             # this row, else vs the sequential run just measured.
-            reference = base_rows.get(f"{row.key}:incremental") or seq
+            reference = base_rows.get(row.key) or seq
             for field in ("status", "objective"):
                 if par.get(field) != reference.get(field):
                     failures.append(
@@ -294,7 +281,7 @@ def run_audit_bench(
 ) -> "tuple[dict, list]":
     """Certification mode: (rows, hard failures).
 
-    Re-runs each table row under each kernel with proof logging on and
+    Re-runs each table row with proof logging on and
     verifies the log with the independent exact-arithmetic checker
     (:func:`repro.ilp.certify.audit_proof`).  Any row that solves to
     optimality must audit ``CERTIFIED`` — a weaker verdict means the
@@ -314,47 +301,45 @@ def run_audit_bench(
     with tempfile.TemporaryDirectory() as tmp:
         for table in tables:
             for row in table_rows(table):
-                for kernel in KERNELS:
-                    verdicts = {}
-                    for count in worker_counts:
-                        key = f"{row.key}:{kernel}:w{count}"
-                        proof = Path(tmp) / f"{key.replace(':', '-')}.jsonl"
-                        print(f"  audit {key} ...", flush=True)
-                        result = run_row(
-                            row,
-                            time_limit_s=time_limit_s,
-                            lp_kernel=kernel,
-                            workers=count,
-                            proof_path=str(proof),
-                        )
-                        report = audit_proof(str(proof))
-                        verdicts[count] = report.verdict
-                        rows[key] = {
-                            "status": result["status"],
-                            "objective": result["objective"],
-                            "verdict": report.verdict,
-                            "reason": report.reason,
-                        }
-                        if (
-                            result["status"] == "optimal"
-                            and report.verdict != "CERTIFIED"
-                        ):
-                            failures.append(
-                                f"{key}: optimal solve audited "
-                                f"{report.verdict} ({report.reason})"
-                            )
-                        base = base_rows.get(f"{row.key}:{kernel}")
-                        if base and result["status"] != base.get("status"):
-                            failures.append(
-                                f"{key}: status {result['status']!r} "
-                                f"diverged from baseline "
-                                f"{base.get('status')!r}"
-                            )
-                    if len(set(verdicts.values())) > 1:
+                verdicts = {}
+                for count in worker_counts:
+                    key = f"{row.key}:w{count}"
+                    proof = Path(tmp) / f"{key.replace(':', '-')}.jsonl"
+                    print(f"  audit {key} ...", flush=True)
+                    result = run_row(
+                        row,
+                        time_limit_s=time_limit_s,
+                        workers=count,
+                        proof_path=str(proof),
+                    )
+                    report = audit_proof(str(proof))
+                    verdicts[count] = report.verdict
+                    rows[key] = {
+                        "status": result["status"],
+                        "objective": result["objective"],
+                        "verdict": report.verdict,
+                        "reason": report.reason,
+                    }
+                    if (
+                        result["status"] == "optimal"
+                        and report.verdict != "CERTIFIED"
+                    ):
                         failures.append(
-                            f"{row.key}:{kernel}: verdict differs across "
-                            f"worker counts: {verdicts}"
+                            f"{key}: optimal solve audited "
+                            f"{report.verdict} ({report.reason})"
                         )
+                    base = base_rows.get(row.key)
+                    if base and result["status"] != base.get("status"):
+                        failures.append(
+                            f"{key}: status {result['status']!r} "
+                            f"diverged from baseline "
+                            f"{base.get('status')!r}"
+                        )
+                if len(set(verdicts.values())) > 1:
+                    failures.append(
+                        f"{row.key}: verdict differs across "
+                        f"worker counts: {verdicts}"
+                    )
     return rows, failures
 
 
@@ -488,7 +473,7 @@ def main(argv=None) -> int:
             )
             print(f"wrote {args.json}")
         if args.update_baseline:
-            # Merge into the committed baseline: the per-kernel keys the
+            # Merge into the committed baseline: the plain row keys the
             # default compare mode reads are kept, while earlier
             # ablation records (":off"/":heur", or arms that no longer
             # exist) are replaced by this sweep.
@@ -502,7 +487,7 @@ def main(argv=None) -> int:
             merged["rows"] = {
                 key: record
                 for key, record in merged.get("rows", {}).items()
-                if key.rsplit(":", 1)[-1] in KERNELS
+                if ":" not in key
             }
             merged["rows"].update(rows)
             write_snapshot(args.baseline, merged, indent=1)

@@ -192,11 +192,9 @@ def main() -> None:
         "`hit_limit` flag, not by status string.\n"
     )
     sections.append(
-        "Kernel: solves run through the incremental warm-start LP "
-        "kernel (`repro.ilp.incremental`, DESIGN.md §11); "
-        "`solve.kernel` in each row's telemetry records the engine "
-        "(`incremental-highs`/`incremental-linprog`), warm-start hits, "
-        "and the node-cache hit rate.  Perf regressions against these "
+        "LP backend: every node relaxation is one stateless SciPy "
+        "HiGHS call (`solve_lp_scipy`, DESIGN.md §11) at the head of "
+        "the resilient backend chain.  Perf regressions against these "
         "rows are tracked separately by `scripts/bench_solver.py` vs "
         "the committed `BENCH_solver.json` baseline: the deterministic "
         "solve signature (status/objective/nodes/LP calls) must match "

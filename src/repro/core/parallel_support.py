@@ -5,8 +5,8 @@ the slot-counting node prober, the compact leaf solver, the resilient
 LP chain — none of which pickle.  When
 :class:`~repro.core.partitioner.TemporalPartitioner` runs with
 ``workers > 1`` it therefore ships only the *ingredients*
-(:class:`~repro.core.spec.ProblemSpec`, formulation options, kernel
-and chaos settings: all plain data) and this module's
+(:class:`~repro.core.spec.ProblemSpec`, formulation options and
+chaos settings: all plain data) and this module's
 :func:`build_worker_context` rebuilds the identical context inside
 each worker interpreter.  Determinism end to end — ``build_model``,
 presolve, and ``compile_standard_form`` are all deterministic functions
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.ilp.incremental import IncrementalLPSolver
 from repro.ilp.resilience import (
     FaultInjectingBackend,
     FaultPlan,
@@ -30,7 +29,6 @@ from repro.ilp.scipy_backend import solve_lp_scipy
 
 
 def make_lp_backend(
-    lp_kernel: str = "incremental",
     resilient: bool = True,
     chaos: "Optional[FaultPlan]" = None,
     plain_search: bool = False,
@@ -40,24 +38,25 @@ def make_lp_backend(
 
     Shared by :meth:`TemporalPartitioner._make_lp_backend` and the
     parallel worker rebuild, so both sides of a ``workers > 1`` run
-    assemble the *same* stack: ``plain_search`` keeps the historical
-    bare SciPy backend; otherwise the warm-starting incremental kernel
-    heads the chain with the stateless backends behind it, a
-    :class:`~repro.ilp.resilience.ResilientLPBackend` wraps the chain,
-    and a :class:`~repro.ilp.resilience.FaultPlan` additionally wraps
-    the primary (or, with ``targets="all"``, every) backend in seeded
-    fault injection with infeasible double-checking.
+    assemble the *same* stack: without resilience (or with
+    ``plain_search``) the bare
+    :func:`~repro.ilp.scipy_backend.solve_lp_scipy`; otherwise a
+    :class:`~repro.ilp.resilience.ResilientLPBackend` over the default
+    chain (SciPy HiGHS, then the in-repo simplex).  A
+    :class:`~repro.ilp.resilience.FaultPlan` wraps the primary (or,
+    with ``targets="all"``, every) backend in seeded fault injection
+    and turns on infeasible double-checking; the default chain then
+    gets a second HiGHS slot behind the faulted head, because the
+    simplex alone cannot second-opinion models past its
+    ``MAX_TABLEAU_ELEMENTS`` guard.
     """
     use_resilient = resilient and not plain_search
-    use_kernel = lp_kernel == "incremental" and not plain_search
     if not use_resilient and chaos is None and chain is None:
-        if use_kernel:
-            return IncrementalLPSolver()
         return solve_lp_scipy
     if chain is None:
         chain = default_backend_chain()
-        if use_kernel:
-            chain = [("incremental", IncrementalLPSolver())] + chain
+        if chaos is not None:
+            chain = [("scipy-highs", solve_lp_scipy)] + chain
     chain = list(chain)
     if chaos is not None:
         wrap_all = chaos.targets == "all"
@@ -107,9 +106,9 @@ def build_worker_context(args: "Dict[str, object]") -> "Dict[str, object]":
 
     ``args`` (all picklable): ``spec`` (ProblemSpec), ``options``
     (FormulationOptions), ``rule`` (branching-rule instance),
-    ``plain_search``, ``presolve``, ``resilient``, ``lp_kernel``,
-    ``chaos`` — the exact knobs
-    :meth:`TemporalPartitioner._solve` used on the coordinator side.
+    ``plain_search``, ``presolve``, ``resilient``, ``chaos`` — the
+    exact knobs :meth:`TemporalPartitioner._solve` used on the
+    coordinator side.
     """
     from repro.core.formulation import build_model
 
@@ -141,7 +140,6 @@ def build_worker_context(args: "Dict[str, object]") -> "Dict[str, object]":
         "model": model,
         "rule": args.get("rule"),
         "lp_backend": make_lp_backend(
-            lp_kernel=args.get("lp_kernel", "incremental"),
             resilient=bool(args.get("resilient", True)),
             chaos=args.get("chaos"),
             plain_search=plain_search,

@@ -11,12 +11,9 @@ plays that role here, fully in-repo:
 * :mod:`~repro.ilp.simplex` — a pure-numpy dense two-phase primal
   simplex for LPs (reference implementation, cross-checked against
   scipy in the test suite);
-* :mod:`~repro.ilp.scipy_backend` — fast LP relaxations via
-  ``scipy.optimize.linprog`` (HiGHS);
-* :mod:`~repro.ilp.incremental` — the persistent-model LP kernel for
-  the branch-and-bound hot loop: compile once, mutate bounds per node,
-  warm-start HiGHS via ``highspy`` when importable, LRU-cache repeated
-  node solves;
+* :mod:`~repro.ilp.scipy_backend` — the node LP engine of branch and
+  bound: one stateless ``scipy.optimize.linprog`` (HiGHS) call per
+  node, returning reduced costs and row duals;
 * :mod:`~repro.ilp.branch_bound` — a branch-and-bound engine with
   pluggable :mod:`~repro.ilp.branching` rules, including the paper's
   heuristic (branch on ``y`` in topological priority order, 1-branch
@@ -46,7 +43,6 @@ from repro.ilp.solution import (
 from repro.ilp.standard_form import StandardForm, compile_standard_form
 from repro.ilp.scipy_backend import solve_lp_scipy
 from repro.ilp.simplex import solve_lp_simplex
-from repro.ilp.incremental import IncrementalLPSolver
 from repro.ilp.branching import (
     BranchDecision,
     BranchingRule,
@@ -82,7 +78,6 @@ __all__ = [
     "compile_standard_form",
     "solve_lp_scipy",
     "solve_lp_simplex",
-    "IncrementalLPSolver",
     "BranchDecision",
     "BranchingRule",
     "PaperBranching",

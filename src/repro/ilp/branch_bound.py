@@ -1323,9 +1323,6 @@ class BranchAndBound:
         stats.resilience = self._resilience_block()
         if self.config.heuristics:
             stats.heuristics = dict(self._heur)
-        kernel_fn = getattr(self.config.lp_backend, "kernel_telemetry", None)
-        if callable(kernel_fn):
-            stats.kernel = kernel_fn()
         has_incumbent = self._incumbent_values is not None
 
         if limit_status is None:

@@ -1,9 +1,8 @@
 """Primal heuristics for the B&B hot loop: diving and polishing.
 
-Both heuristics exploit the incremental LP kernel's cheap
-bound-mutation re-solves (PR 5): every probe is the same
-``lp_backend(form, lb, ub)`` call the tree search itself makes, so a
-warm-started kernel answers most of them from the parent basis.  They
+Every probe is the same ``lp_backend(form, lb, ub)`` call the tree
+search itself makes (a bounds-only change on the compiled standard
+form), so the heuristics add no LP machinery of their own.  They
 also mirror the search's own leaf structure: when the model has
 registered group-0 branching variables and ``leaf_subsolve`` is on,
 the dive fixes *only* group-0 variables (the ``y`` assignment row) and

@@ -334,23 +334,6 @@ class ResilientLPBackend:
 
     # ------------------------------------------------------------------
 
-    def kernel_telemetry(self) -> "Optional[Dict[str, object]]":
-        """Kernel counters of the first chain member exposing them.
-
-        The incremental LP kernel (:mod:`repro.ilp.incremental`) sits at
-        the head of the default chain; this passthrough lets the branch
-        and bound surface its warm-start/cache counters in
-        ``solve.kernel`` even when the kernel is wrapped by the chain —
-        or by a chaos injector (whose ``inner`` attribute is followed).
-        Returns None when no chain member is kernel-aware.
-        """
-        for slot in self._slots:
-            for candidate in (slot.fn, getattr(slot.fn, "inner", None)):
-                telemetry = getattr(candidate, "kernel_telemetry", None)
-                if callable(telemetry):
-                    return telemetry()
-        return None
-
     def resilience_telemetry(self) -> "Dict[str, object]":
         """Structured counters + fault log for ``solve.resilience``."""
         injector = None

@@ -181,6 +181,8 @@ class SolveStats:
     incumbent_events: "List[IncumbentEvent]" = field(default_factory=list)
     presolve: "Optional[Dict[str, object]]" = None
     resilience: "Optional[Dict[str, object]]" = None
+    # Always None: the node LP engine keeps no counters of its own.
+    # Kept so ``solve.kernel`` stays in the v8 telemetry schema.
     kernel: "Optional[Dict[str, object]]" = None
     parallel: "Optional[Dict[str, object]]" = None
     proof: "Optional[Dict[str, object]]" = None

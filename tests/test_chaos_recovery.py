@@ -98,6 +98,29 @@ class TestChaosDeterminism:
         assert records[0] == records[1]
 
 
+class TestChaosSecondOpinion:
+    def test_spurious_infeasible_overruled_past_simplex_guard(
+        self, monkeypatch
+    ):
+        """Chaos keeps a fault-free HiGHS slot behind the faulted head.
+
+        The simplex refuses models past ``MAX_TABLEAU_ELEMENTS`` (the
+        Table 4 models are past it), so a chain whose only second
+        opinion is the simplex would keep a spurious INFEASIBLE.
+        """
+        import repro.ilp.simplex as simplex_mod
+        from repro.core.parallel_support import make_lp_backend
+        from repro.ilp.standard_form import compile_standard_form
+
+        monkeypatch.setattr(simplex_mod, "MAX_TABLEAU_ELEMENTS", 1)
+        backend = make_lp_backend(
+            chaos=FaultPlan(kinds=("infeasible",), rate=1.0, limit=1)
+        )
+        result = backend(compile_standard_form(tree_model()))
+        assert result.status is SolveStatus.OPTIMAL
+        assert backend.infeasible_overruled == 1
+
+
 class TestChaosKillAndResume:
     def test_resumed_chaotic_search_reproduces_optimum(self, tmp_path):
         baseline = BranchAndBound(tree_model()).solve()

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ModelError
+from repro.errors import ModelError, SolverError
 from repro.ilp.expr import lin_sum
 from repro.ilp.model import Model
 from repro.ilp.scipy_backend import solve_lp_scipy
 from repro.ilp.simplex import solve_lp_simplex
-from repro.ilp.solution import SolveStatus
+from repro.ilp.solution import SolveStatus, ValueVector
 from repro.ilp.standard_form import compile_standard_form
 
 
@@ -149,6 +149,45 @@ class TestScipyBackend:
             solve_lp_scipy(compile_standard_form(model)).status
             is SolveStatus.INFEASIBLE
         )
+
+    def test_contradictory_bounds_short_circuit(self, monkeypatch):
+        import repro.ilp.scipy_backend as scipy_mod
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("contradictory bounds must not reach linprog")
+
+        monkeypatch.setattr(scipy_mod, "linprog", no_lp)
+        form = compile_standard_form(build_small_lp())
+        lb = form.lb.copy()
+        ub = form.ub.copy()
+        lb[0], ub[0] = 2.0, 1.0
+        assert solve_lp_scipy(form, lb, ub).status is SolveStatus.INFEASIBLE
+
+    def test_optimal_results_carry_reduced_costs(self):
+        form = compile_standard_form(build_small_lp())
+        result = solve_lp_scipy(form)
+        assert result.status is SolveStatus.OPTIMAL
+        assert isinstance(result.values, ValueVector)
+        assert result.reduced_costs is not None
+        assert result.reduced_costs.shape == (form.num_vars,)
+        assert result.dual_ub.shape == (form.a_ub.shape[0],)
+        assert result.dual_eq.shape == (0,)
+
+
+class TestSimplexSizeGuard:
+    def test_oversized_model_raises_typed_error(self, monkeypatch):
+        import repro.ilp.simplex as simplex_mod
+
+        monkeypatch.setattr(simplex_mod, "MAX_TABLEAU_ELEMENTS", 10)
+        form = compile_standard_form(build_small_lp())
+        with pytest.raises(SolverError, match="MAX_TABLEAU_ELEMENTS"):
+            solve_lp_simplex(form)
+
+    def test_normal_model_still_solves(self):
+        result = solve_lp_simplex(compile_standard_form(build_small_lp()))
+        assert result.status is SolveStatus.OPTIMAL
+        assert isinstance(result.values, ValueVector)
+        assert result.objective == pytest.approx(-2.8, abs=1e-7)
 
 
 @st.composite
