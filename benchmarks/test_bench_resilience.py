@@ -1,20 +1,20 @@
-"""Ablation E — resilience armor on vs off, and under chaos.
+"""Resilience benchmark — the armored LP chain, fault-free and under chaos.
 
-Three variants of each feasible Table-3 row:
+Two variants of each feasible Table-3 row:
 
-* ``plain`` — the bare SciPy backend (no validation, no fallback);
 * ``armored`` — the default ``ResilientLPBackend`` chain, which every
-  production solve now runs through: this measures the steady-state
-  price of validating every LP result (it should be noise next to the
-  LP solves themselves, and the objective must be identical);
+  bnb solve runs through: this measures the steady-state price of
+  validating every LP result (it should be noise next to the LP
+  solves themselves);
 * ``chaos`` — seeded fault injection on the primary backend at a 20%
   rate over all fault classes: this measures what recovery costs when
-  the armor actually works for a living, and asserts the recovered
-  optimum still matches the fault-free one.
+  the armor actually works for a living.
 
-``degraded`` rows would mean the chain failed to recover — the
-assertion keeps this benchmark a regression tripwire, not just a
-stopwatch.
+Both must land on the optimum of an independent SciPy HiGHS MILP solve
+of the same row (``backend="milp"``), which shares no LP machinery with
+the branch and bound.  ``degraded`` rows would mean the chain failed to
+recover — the assertions keep this benchmark a regression tripwire,
+not just a stopwatch.
 """
 
 import pytest
@@ -26,12 +26,10 @@ from benchmarks.conftest import TIME_LIMIT_S, run_once
 ROWS = [r for r in table_rows("t3") if r.paper_feasible]
 
 VARIANTS = [
-    ("plain", {"resilient": False}),
-    ("armored", {"resilient": True}),
+    ("armored", {}),
     (
         "chaos",
         {
-            "resilient": True,
             "chaos": FaultPlan(
                 kinds=FAULT_KINDS, rate=0.2, seed=42, slow_s=0.0
             ),
@@ -57,17 +55,22 @@ def test_resilience_variant(benchmark, row, name, kwargs, results_bucket):
     assert result["degraded"] is False
 
 
-def test_objectives_agree_across_variants(results_bucket):
-    """Armored and chaotic runs must land on the plain run's optimum."""
+def test_objectives_agree_with_milp_reference(results_bucket):
+    """Armored and chaotic runs must land on the MILP solver's optimum."""
     rows = [r for tag, r in results_bucket if tag == "resilience"]
     if not rows:
         pytest.skip("variant benchmarks did not run")
     by_key = {}
     for r in rows:
         by_key.setdefault(r["key"], {})[r["variant"]] = r["objective"]
-    for key, variants in by_key.items():
-        baseline = variants.get("plain")
+    for row in ROWS:
+        variants = by_key.get(row.key)
+        if not variants:
+            continue
+        reference = run_row(row, backend="milp", time_limit_s=TIME_LIMIT_S)
+        assert reference["status"] == "optimal", row.key
         for name, objective in variants.items():
-            assert objective == baseline, (
-                f"{key}: {name} objective {objective} != plain {baseline}"
+            assert objective == reference["objective"], (
+                f"{row.key}: {name} objective {objective} != "
+                f"milp {reference['objective']}"
             )

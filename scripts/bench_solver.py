@@ -38,7 +38,8 @@ Exit status is non-zero when any deterministic field drifts or any
 row's nodes/sec regresses more than ``--tolerance`` below the
 committed ``BENCH_solver.json`` baseline.  Regenerate the baseline
 with ``--update-baseline`` after an intentional perf or search change
-(on the same class of machine the comparison will run on).
+(on the same class of machine the comparison will run on); it
+replaces only the records the run measured and keeps the rest.
 """
 
 from __future__ import annotations
@@ -78,6 +79,44 @@ def load_baseline(path: Path) -> "dict | None":
         print(f"baseline schema mismatch in {path}", file=sys.stderr)
         return None
     return baseline
+
+
+def merge_baseline(
+    baseline: "dict | None", run: dict, ablation: bool = False,
+) -> dict:
+    """The baseline to write after a run whose payload is ``run``.
+
+    Only the records this run produced are replaced; every other row —
+    tables the run did not bench, and the ``key:arm`` records of the
+    heuristics ablation — is kept.  In ablation mode every earlier
+    ``key:arm`` record is dropped first, so arms that no longer exist
+    go away with the sweep that replaces them.
+    """
+    merged = dict(baseline or {})
+    merged["schema"] = BASELINE_SCHEMA
+    rows = dict(merged.get("rows", {}))
+    if ablation:
+        rows = {key: record for key, record in rows.items() if ":" not in key}
+    else:
+        tables = set(merged.get("tables", [])) | set(run["tables"])
+        merged["tables"] = sorted(tables)
+        merged["time_limit_s"] = run["time_limit_s"]
+        merged["tolerance"] = run["tolerance"]
+    rows.update(run["rows"])
+    merged["rows"] = rows
+    return merged
+
+
+def update_baseline(path: Path, run: dict, ablation: bool = False) -> int:
+    """Merge ``run`` into the baseline at ``path``; exit status."""
+    baseline = None
+    if path.exists():
+        baseline = load_baseline(path)
+        if baseline is None:
+            return 2
+    write_snapshot(path, merge_baseline(baseline, run, ablation), indent=1)
+    print(f"baseline updated: {path}")
+    return 0
 
 
 #: Fields that must match the baseline bit-for-bit: any drift means
@@ -414,7 +453,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--update-baseline", action="store_true",
-        help="write the measured results as the new baseline and exit 0",
+        help="merge the measured records into the baseline (records "
+             "this run did not measure are kept) and exit 0",
     )
     parser.add_argument(
         "--json", type=Path, default=None,
@@ -473,25 +513,9 @@ def main(argv=None) -> int:
             )
             print(f"wrote {args.json}")
         if args.update_baseline:
-            # Merge into the committed baseline: the plain row keys the
-            # default compare mode reads are kept, while earlier
-            # ablation records (":off"/":heur", or arms that no longer
-            # exist) are replaced by this sweep.
-            merged = {}
-            if args.baseline.exists():
-                loaded = load_baseline(args.baseline)
-                if loaded is None:
-                    return 2
-                merged = loaded
-            merged.setdefault("schema", BASELINE_SCHEMA)
-            merged["rows"] = {
-                key: record
-                for key, record in merged.get("rows", {}).items()
-                if ":" not in key
-            }
-            merged["rows"].update(rows)
-            write_snapshot(args.baseline, merged, indent=1)
-            print(f"baseline updated: {args.baseline}")
+            status = update_baseline(args.baseline, payload, ablation=True)
+            if status:
+                return status
         print()
         print_ablation_rows(rows)
         for note in notes:
@@ -585,9 +609,7 @@ def main(argv=None) -> int:
         print(f"wrote {args.json}")
 
     if args.update_baseline:
-        write_snapshot(args.baseline, payload, indent=1)
-        print(f"baseline updated: {args.baseline}")
-        return 0
+        return update_baseline(args.baseline, payload)
 
     if not args.baseline.exists():
         print(

@@ -153,11 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
         "see DESIGN.md section 9",
     )
     resilience.add_argument(
-        "--no-resilience", action="store_true",
-        help="solve with the bare LP backend instead of the validating "
-        "retry/fallback chain",
-    )
-    resilience.add_argument(
         "--chaos-faults", metavar="KINDS",
         help="inject LP-backend faults: comma-separated subset of "
         f"{{{','.join(FAULT_KINDS)}}}",
@@ -759,7 +754,6 @@ def main(argv: "Optional[list]" = None) -> int:
         on_node=on_node,
         on_incumbent=on_incumbent,
         callback_every=args.trace_every if args.verbose_solve else 1,
-        resilient=not args.no_resilience,
         chaos=chaos,
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every,

@@ -29,20 +29,16 @@ from repro.ilp.scipy_backend import solve_lp_scipy
 
 
 def make_lp_backend(
-    resilient: bool = True,
     chaos: "Optional[FaultPlan]" = None,
-    plain_search: bool = False,
     chain: "Optional[List]" = None,
-):
-    """LP backend for a bnb solve: bare, chaos-wrapped, or armored.
+) -> ResilientLPBackend:
+    """LP backend for every bnb solve: the armored chain.
 
     Shared by :meth:`TemporalPartitioner._make_lp_backend` and the
     parallel worker rebuild, so both sides of a ``workers > 1`` run
-    assemble the *same* stack: without resilience (or with
-    ``plain_search``) the bare
-    :func:`~repro.ilp.scipy_backend.solve_lp_scipy`; otherwise a
-    :class:`~repro.ilp.resilience.ResilientLPBackend` over the default
-    chain (SciPy HiGHS, then the in-repo simplex).  A
+    assemble the *same* stack: a
+    :class:`~repro.ilp.resilience.ResilientLPBackend` over ``chain``,
+    by default SciPy HiGHS then the in-repo simplex.  A
     :class:`~repro.ilp.resilience.FaultPlan` wraps the primary (or,
     with ``targets="all"``, every) backend in seeded fault injection
     and turns on infeasible double-checking; the default chain then
@@ -50,9 +46,6 @@ def make_lp_backend(
     simplex alone cannot second-opinion models past its
     ``MAX_TABLEAU_ELEMENTS`` guard.
     """
-    use_resilient = resilient and not plain_search
-    if not use_resilient and chaos is None and chain is None:
-        return solve_lp_scipy
     if chain is None:
         chain = default_backend_chain()
         if chaos is not None:
@@ -65,8 +58,6 @@ def make_lp_backend(
             if (wrap_all or i == 0) else (name, fn)
             for i, (name, fn) in enumerate(chain)
         ]
-    if not use_resilient:
-        return chain[0][1]
     return ResilientLPBackend(
         backends=chain,
         double_check_infeasible=chaos is not None,
@@ -106,7 +97,7 @@ def build_worker_context(args: "Dict[str, object]") -> "Dict[str, object]":
 
     ``args`` (all picklable): ``spec`` (ProblemSpec), ``options``
     (FormulationOptions), ``rule`` (branching-rule instance),
-    ``plain_search``, ``presolve``, ``resilient``, ``chaos`` — the
+    ``plain_search``, ``presolve``, ``chaos`` — the
     exact knobs :meth:`TemporalPartitioner._solve` used on the
     coordinator side.
     """
@@ -139,11 +130,7 @@ def build_worker_context(args: "Dict[str, object]") -> "Dict[str, object]":
     return {
         "model": model,
         "rule": args.get("rule"),
-        "lp_backend": make_lp_backend(
-            resilient=bool(args.get("resilient", True)),
-            chaos=args.get("chaos"),
-            plain_search=plain_search,
-        ),
+        "lp_backend": make_lp_backend(chaos=args.get("chaos")),
         "node_prober": node_prober,
         "leaf_solver": leaf_solver,
         "incumbent_auditor": make_incumbent_auditor(spec, space),

@@ -28,6 +28,8 @@ verifies the fallback design with the same independent
 :class:`PartitionOutcome` explicitly marked ``degraded=True`` with the
 cause and the fallback name in telemetry — a usable answer with honest
 provenance, exactly the production posture the ROADMAP asks for.
+``plain_search`` runs (the raw 1998-style search) never degrade: a
+solver fault raises and an empty-handed search keeps its status.
 """
 
 from __future__ import annotations
@@ -191,7 +193,10 @@ class TemporalPartitioner:
         When True, run the branch and bound *without* its SOS1
         propagation and exact leaf sub-solve — the raw 1998-style
         search the formulation benchmarks (Tables 1-2) measure.
-        Also disables presolve (the 1998 flow had none).
+        Also disables presolve and the heuristic-baseline fallback
+        (the 1998 flow had neither); the LP relaxations still go
+        through the resilient chain, which is result-identical on
+        fault-free runs.
     presolve:
         When True (default), run the structural prechecks
         (:mod:`repro.core.precheck`, eqs. 3 and 11 plus cycle
@@ -207,19 +212,17 @@ class TemporalPartitioner:
         Ignored by the ``"milp"`` backend.
     callback_every:
         Node-callback decimation factor (1 = every node).
-    resilient:
-        When True (default), the ``"bnb"`` backend solves its LP
-        relaxations through the validating retry/fallback chain
-        (:class:`~repro.ilp.resilience.ResilientLPBackend`, SciPy
-        HiGHS then the in-repo simplex) instead of a bare backend.
-        Fault-free runs are result-identical (asserted by property
-        test); faulty runs recover or degrade instead of crashing.
-        ``plain_search`` disables it (the 1998 flow had no armor).
     chaos:
         Optional :class:`~repro.ilp.resilience.FaultPlan`: wrap the
         LP backend(s) in seeded fault injection — the CLI's
         ``--chaos-*`` surface.  Implies infeasible double-checking on
-        the resilient chain.  Only meaningful with ``backend="bnb"``.
+        the resilient chain.  Only meaningful with ``backend="bnb"``,
+        which always solves its LP relaxations through the validating
+        retry/fallback chain
+        (:class:`~repro.ilp.resilience.ResilientLPBackend`, SciPy
+        HiGHS then the in-repo simplex): fault-free runs are
+        result-identical to a bare backend (asserted by property
+        test), faulty runs recover or degrade instead of crashing.
     lp_backend_chain:
         Override the resilient chain's ``(name, callable)`` backends
         (tests use this to simulate wholly dead solver stacks).
@@ -236,15 +239,11 @@ class TemporalPartitioner:
         Forwarded to the branch and bound: periodic atomic
         serialization of the search state, and — when the file already
         exists and matches the model — automatic resume from it.
-    degrade:
-        When True (default), irrecoverable exact solves fall back to
-        the heuristic baselines instead of raising/returning empty
-        (see module docstring).  When False, solver faults raise as
-        before (the cross-check suites want the crash).
     heuristics:
         When True (``bnb`` backend only), enable the primal heuristics
         (:mod:`repro.ilp.heuristics`): LP-guided diving at the root and
-        every ``dive_every`` nodes, plus 1-opt incumbent polishing.
+        every :data:`~repro.ilp.branch_bound.DIVE_EVERY` nodes, plus
+        1-opt incumbent polishing.
         Every heuristic point is audited (decode +
         :func:`~repro.core.verify.verify_design`) before it may become
         the incumbent; the ``solve.heuristics`` telemetry block counts
@@ -284,13 +283,11 @@ class TemporalPartitioner:
         on_node=None,
         on_incumbent=None,
         callback_every: int = 1,
-        resilient: bool = True,
         chaos: "Optional[FaultPlan]" = None,
         lp_backend_chain=None,
         checkpoint_path: "Optional[str]" = None,
         checkpoint_every: int = 256,
         proof_path: "Optional[str]" = None,
-        degrade: bool = True,
         heuristics: bool = False,
         workers: int = 1,
         parallel_replay: bool = False,
@@ -321,7 +318,7 @@ class TemporalPartitioner:
             raise ReproError(
                 "workers > 1 cannot ship a custom lp_backend_chain to "
                 "worker processes (backend chains are closures); use "
-                "resilient/chaos, which workers rebuild locally"
+                "chaos, which workers rebuild locally"
             )
         self.library = library if library is not None else default_library()
         self.device = device if device is not None else device_catalog()["xc4010"]
@@ -338,13 +335,11 @@ class TemporalPartitioner:
         self.on_node = on_node
         self.on_incumbent = on_incumbent
         self.callback_every = callback_every
-        self.resilient = resilient
         self.chaos = chaos
         self.lp_backend_chain = lp_backend_chain
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = checkpoint_every
         self.proof_path = proof_path
-        self.degrade = degrade
         self.heuristics = heuristics
         self.workers = workers
         self.parallel_replay = parallel_replay
@@ -413,7 +408,7 @@ class TemporalPartitioner:
                 )
         model, space = build_model(spec, self.options)
         model_stats = model_size_report(model, space)
-        allow_degrade = self.degrade and not self.plain_search
+        allow_degrade = not self.plain_search
 
         try:
             result, certificate = self._solve(model, spec, space)
@@ -534,7 +529,8 @@ class TemporalPartitioner:
     # ------------------------------------------------------------------
 
     def _make_lp_backend(self):
-        """LP backend for the bnb path: bare, chaos-wrapped, or armored.
+        """LP backend for the bnb path: the armored chain, chaos-wrapped
+        under ``chaos``.
 
         Delegates to :func:`repro.core.parallel_support.make_lp_backend`
         — the same assembly the parallel workers run, so a
@@ -544,12 +540,7 @@ class TemporalPartitioner:
         """
         from repro.core.parallel_support import make_lp_backend
 
-        return make_lp_backend(
-            resilient=self.resilient,
-            chaos=self.chaos,
-            plain_search=self.plain_search,
-            chain=self.lp_backend_chain,
-        )
+        return make_lp_backend(chaos=self.chaos, chain=self.lp_backend_chain)
 
     def _solve(self, model, spec, space):
         """Solve the model; returns (MilpResult, presolve certificate)."""
@@ -609,7 +600,7 @@ class TemporalPartitioner:
         """Sequential solver, or the parallel coordinator for workers>1.
 
         The coordinator ships only picklable ingredients (spec,
-        options, rule, resilience/chaos knobs); each worker rebuilds the
+        options, rule, chaos plan); each worker rebuilds the
         model, prober, leaf solver, and LP stack from them via
         :func:`repro.core.parallel_support.build_worker_context`, and
         the model fingerprint certifies the rebuild matched.
@@ -636,7 +627,6 @@ class TemporalPartitioner:
                 "rule": self.branching,
                 "plain_search": self.plain_search,
                 "presolve": self.presolve and not self.plain_search,
-                "resilient": self.resilient,
                 "chaos": self.chaos,
             },
         )

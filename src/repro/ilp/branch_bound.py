@@ -51,7 +51,7 @@ On ``time_limit_s`` exhaustion the solver returns the incumbent with
 status FEASIBLE plus that bound and the relative gap; if the deadline
 fires before any incumbent exists, a bounded **rescue dive**
 (``rescue_on_deadline``) keeps popping preferred nodes — limited by
-``rescue_node_budget``, not by the clock — until a first feasible
+:data:`RESCUE_NODE_BUDGET`, not by the clock — until a first feasible
 solution is in hand, so even a ``time_limit_s=0`` run on a feasible
 model yields a usable answer.  Only a rescue that also exhausts its
 node budget empty-handed returns a bare TIMEOUT.
@@ -105,6 +105,17 @@ from repro.ilp.solution import (
 )
 from repro.ilp.standard_form import StandardForm, compile_standard_form
 
+#: Time limit (seconds) of one leaf sub-solve call; capped further by
+#: whatever remains of ``time_limit_s``.
+SUBSOLVE_TIME_LIMIT_S = 30.0
+
+#: Maximum extra nodes the deadline rescue dive may explore.
+RESCUE_NODE_BUDGET = 64
+
+#: Node interval between in-tree dives when ``heuristics`` is on (the
+#: root always dives).
+DIVE_EVERY = 512
+
 
 @dataclass
 class BranchAndBoundConfig:
@@ -136,9 +147,8 @@ class BranchAndBoundConfig:
         module docstring).  Requires group-0 variables to determine the
         objective for the incumbent to be optimal for that leaf; the
         temporal-partitioning formulation satisfies this by
-        construction.
-    subsolve_time_limit_s:
-        Time limit per leaf sub-solve call.
+        construction.  Each call is limited to
+        :data:`SUBSOLVE_TIME_LIMIT_S`.
     node_prober:
         Optional ``f(lb, ub) -> bool`` called on every node before its
         LP; returning True *proves* the node infeasible and prunes it.
@@ -163,11 +173,9 @@ class BranchAndBoundConfig:
     rescue_on_deadline:
         When the deadline fires before any incumbent exists, keep
         diving (preferred branches first) for up to
-        ``rescue_node_budget`` more nodes to secure a first feasible
+        :data:`RESCUE_NODE_BUDGET` more nodes to secure a first feasible
         solution.  Node-bounded, not time-bounded — the point is a
         usable answer, not punctuality to the microsecond.
-    rescue_node_budget:
-        Maximum extra nodes the rescue dive may explore.
     presolve:
         Run the static presolve pass (:mod:`repro.ilp.analysis`) over
         the model before compiling the standard form: bound
@@ -178,9 +186,6 @@ class BranchAndBoundConfig:
         infeasibility certificate short-circuits :meth:`solve` to an
         INFEASIBLE result without a single LP call; the reduction
         counters land in ``SolveStats.presolve``.
-    presolve_options:
-        Override the :class:`~repro.ilp.analysis.PresolveOptions`;
-        must keep ``eliminate=False`` (enforced).
     lp_failure_limit:
         Total LP backend failures (calls raising
         :class:`~repro.errors.SolverError`) tolerated before the
@@ -207,15 +212,11 @@ class BranchAndBoundConfig:
     heuristics:
         Enable the in-tree primal heuristics
         (:mod:`repro.ilp.heuristics`): LP-guided diving at the root
-        and every ``dive_every`` nodes, and 1-opt incumbent polishing
-        whenever the incumbent improves.  Heuristic incumbents feed
-        the ordinary incumbent machinery (so bound pruning and
-        reduced-cost fixing fire earlier) and are audited before
-        adoption; counters land in ``SolveStats.heuristics``.
-    dive_every:
-        Node interval between dives (the root always dives).
-    dive_max_lp / polish_max_lp:
-        LP-call budgets per dive / per polishing pass.
+        and every :data:`DIVE_EVERY` nodes, and 1-opt incumbent
+        polishing whenever the incumbent improves.  Heuristic
+        incumbents feed the ordinary incumbent machinery (so bound
+        pruning and reduced-cost fixing fire earlier) and are audited
+        before adoption; counters land in ``SolveStats.heuristics``.
     incumbent_auditor:
         Optional ``f(values: Dict[int, float]) -> bool`` run on every
         *heuristic* incumbent before adoption (the partitioner plugs
@@ -230,10 +231,6 @@ class BranchAndBoundConfig:
         leaf sub-solve) — their closures carry no LP dual evidence —
         and only applies SOS1 propagations and reduced-cost fixes that
         pre-validate in exact arithmetic.
-    proof_sink:
-        Pre-built :class:`~repro.ilp.certify.proof.ProofSink` to emit
-        into instead of opening ``proof_path`` (the parallel worker /
-        coordinator plumbing); mutually exclusive with ``proof_path``.
     """
 
     time_limit_s: Optional[float] = None
@@ -243,27 +240,20 @@ class BranchAndBoundConfig:
     lp_backend: Callable[..., LPResult] = solve_lp_scipy
     propagate_sos1: bool = False
     leaf_subsolve: bool = False
-    subsolve_time_limit_s: float = 30.0
     node_prober: "Optional[Callable]" = None
     leaf_solver: "Optional[Callable]" = None
     on_node: "Optional[Callable[[NodeEvent], None]]" = None
     on_incumbent: "Optional[Callable[[IncumbentEvent], None]]" = None
     callback_every: int = 1
     rescue_on_deadline: bool = True
-    rescue_node_budget: int = 64
     presolve: bool = False
-    presolve_options: "Optional[object]" = None
     lp_failure_limit: int = 64
     checkpoint_path: "Optional[str]" = None
     checkpoint_every: int = 256
     reduced_cost_fixing: bool = False
     heuristics: bool = False
-    dive_every: int = 512
-    dive_max_lp: int = 64
-    polish_max_lp: int = 64
     incumbent_auditor: "Optional[Callable[[Dict[int, float]], bool]]" = None
     proof_path: "Optional[str]" = None
-    proof_sink: "Optional[object]" = None
 
 
 #: Zeroed ``SolveStats.heuristics`` telemetry block.
@@ -365,7 +355,6 @@ class BranchAndBound:
         self._rc_ub: "Optional[np.ndarray]" = None
         # Proof logging state (see repro.ilp.certify).
         self._proof: "Optional[object]" = None
-        self._owns_proof = False
         self._pid_prefix = "m"
         self._node_seq = 0
 
@@ -380,15 +369,7 @@ class BranchAndBound:
         """
         from repro.ilp.analysis.presolve import PresolveOptions, presolve
 
-        opts = self.config.presolve_options
-        if opts is None:
-            opts = PresolveOptions(eliminate=False)
-        if opts.eliminate:
-            raise SolverError(
-                "BranchAndBound presolve must keep the variable space; "
-                "use PresolveOptions(eliminate=False)"
-            )
-        result = presolve(model, opts)
+        result = presolve(model, PresolveOptions(eliminate=False))
         self._presolve_stats = result.stats.as_dict()
         if result.certificate is not None:
             self._presolve_certificate = result.certificate
@@ -416,25 +397,33 @@ class BranchAndBound:
         short_circuit = self._prepare_run()
         if short_circuit is not None:
             return short_circuit
+        return self._finish_run(self._search())
 
-        limit_status: "Optional[SolveStatus]" = None
+    def _search(self) -> "Optional[SolveStatus]":
+        """Explore nodes until the stack is empty (returns ``None``) or
+        a limit fires (returns its status, see :meth:`_limit_status`)."""
         while self._stack:
-            if self._lp_failure_abort:
-                limit_status = SolveStatus.ERROR
-                break
-            if self._out_of_time():
-                limit_status = SolveStatus.TIMEOUT
-                break
-            if (
-                self.config.node_limit is not None
-                and self._stats.nodes_explored >= self.config.node_limit
-            ):
-                limit_status = SolveStatus.NODE_LIMIT
-                break
+            limit_status = self._limit_status()
+            if limit_status is not None:
+                return limit_status
             self._process_node(self._stack.pop())
             self._maybe_checkpoint()
+        return None
 
-        return self._finish_run(limit_status)
+    def _limit_status(self) -> "Optional[SolveStatus]":
+        """The status a search loop stops with before its next node:
+        ERROR past the LP-failure limit, TIMEOUT past ``time_limit_s``,
+        NODE_LIMIT past ``node_limit``, or ``None`` to keep going."""
+        if self._lp_failure_abort:
+            return SolveStatus.ERROR
+        if self._out_of_time():
+            return SolveStatus.TIMEOUT
+        if (
+            self.config.node_limit is not None
+            and self._stats.nodes_explored >= self.config.node_limit
+        ):
+            return SolveStatus.NODE_LIMIT
+        return None
 
     def _finish_run(
         self, limit_status: "Optional[SolveStatus]"
@@ -475,19 +464,12 @@ class BranchAndBound:
                     self._node_pid(open_node), "open_at_stop",
                     open_node.lb, open_node.ub,
                 )
-            self._proof.emit_result(
+            self._finish_proof(
                 result.status.value,
                 result.objective,
                 result.bound,
                 self._exactness_lost,
             )
-            self._stats.proof = {
-                "path": self.config.proof_path,
-                "fingerprint": getattr(self._proof, "fingerprint", None),
-                "records": dict(self._proof.counts),
-                "forfeits": int(self._proof.forfeit_count),
-            }
-            self._close_proof()
         return result
 
     def _prepare_run(self) -> "Optional[MilpResult]":
@@ -526,14 +508,7 @@ class BranchAndBound:
                 self._proof.emit_forfeit(
                     "root", "presolve_infeasible", self.form.lb, self.form.ub
                 )
-                self._proof.emit_result("infeasible", None, None, False)
-                self._stats.proof = {
-                    "path": self.config.proof_path,
-                    "fingerprint": getattr(self._proof, "fingerprint", None),
-                    "records": dict(self._proof.counts),
-                    "forfeits": int(self._proof.forfeit_count),
-                }
-                self._close_proof()
+                self._finish_proof("infeasible", None, None, False)
             return MilpResult(status=SolveStatus.INFEASIBLE, stats=self._stats)
         self._stack = [
             _Node(self.form.lb.copy(), self.form.ub.copy(), depth=0, pid="root")
@@ -547,17 +522,11 @@ class BranchAndBound:
     # proof logging plumbing (see repro.ilp.certify)
 
     def _setup_proof(self) -> None:
-        """Attach the proof sink for this run, if any."""
+        """Open the proof log for this run, if ``proof_path`` is set."""
         self._node_seq = 0
         self._pid_prefix = "m"
-        sink = self.config.proof_sink
-        if sink is not None:
-            self._proof = sink
-            self._owns_proof = False
-            return
         if not self.config.proof_path:
             self._proof = None
-            self._owns_proof = False
             return
         from repro.ilp.certify.proof import ProofWriter
 
@@ -568,11 +537,24 @@ class BranchAndBound:
             int_tol=self.config.int_tol,
             resume=self._resume_payload is not None,
         )
-        self._owns_proof = True
 
-    def _close_proof(self) -> None:
-        if self._proof is not None and self._owns_proof:
-            self._proof.close()
+    def _finish_proof(
+        self,
+        status: str,
+        objective: "Optional[float]",
+        bound: "Optional[float]",
+        exactness_lost: bool,
+    ) -> None:
+        """Write the log's final ``result`` record, summarize the log in
+        the ``solve.proof`` telemetry block, and close it."""
+        self._proof.emit_result(status, objective, bound, exactness_lost)
+        self._stats.proof = {
+            "path": self.config.proof_path,
+            "fingerprint": getattr(self._proof, "fingerprint", None),
+            "records": dict(self._proof.counts),
+            "forfeits": int(self._proof.forfeit_count),
+        }
+        self._proof.close()
         self._proof = None
 
     def _next_pid(self) -> str:
@@ -740,7 +722,7 @@ class BranchAndBound:
 
             if self.config.heuristics and (
                 node.depth == 0
-                or stats.nodes_explored % max(1, self.config.dive_every) == 0
+                or stats.nodes_explored % DIVE_EVERY == 0
             ):
                 if self._try_dive(node, lp):
                     # The dive's incumbent closed this very node: its
@@ -824,11 +806,10 @@ class BranchAndBound:
         with an absurdly small ``time_limit_s`` still yields a usable
         answer plus a finite proven gap.
         """
-        budget = self.config.rescue_node_budget
         while (
             self._stack
             and self._incumbent_values is None
-            and self._stats.rescue_nodes < budget
+            and self._stats.rescue_nodes < RESCUE_NODE_BUDGET
             and not self._lp_failure_abort
         ):
             self._process_node(self._stack.pop(), rescue=True)
@@ -1524,7 +1505,7 @@ class BranchAndBound:
         from repro.ilp.milp_backend import solve_milp_scipy
 
         self._stats.leaf_subsolve_calls += 1
-        budget = self.config.subsolve_time_limit_s
+        budget = SUBSOLVE_TIME_LIMIT_S
         if self.config.time_limit_s is not None:
             remaining = self.config.time_limit_s - (
                 time.monotonic() - self._start

@@ -28,16 +28,11 @@ class ParallelConfig:
         solve signature (status / objective / nodes explored) matches
         ``workers=1`` exactly.  A testing mode — it serializes the
         search and gains no wall-clock speedup by construction.
-    chunk_timeout_s:
-        Wall-clock budget per dispatched chunk; a worker past it is
-        SIGKILLed by the substrate watchdog and its chunk re-queued.
     rampup_nodes:
         Maximum nodes the coordinator explores inline before sharding;
         rampup also stops as soon as the frontier reaches
         ``2 * workers`` open nodes.  Small trees may finish entirely
         during rampup, which is the correct degenerate behaviour.
-    poll_interval_s:
-        Coordinator event-loop wait granularity.
     worker_log_dir:
         Directory for per-worker stderr logs; defaults to a temporary
         directory that is cleaned up with the run.
@@ -45,17 +40,14 @@ class ParallelConfig:
         Chaos knob: ``{rank: n}`` makes worker ``rank`` hard-exit
         (``os._exit``) after exploring ``n`` nodes — the crash-recovery
         tests' hook, default off.
-    inline_fallback:
-        When every worker is dead, finish the remaining frontier in the
-        coordinator process instead of failing the solve.
+
+    When every worker is dead the coordinator finishes the remaining
+    frontier itself, so the answer never depends on fleet health.
     """
 
     workers: int = 2
     chunk_node_budget: int = 64
     replay: bool = False
-    chunk_timeout_s: float = 300.0
     rampup_nodes: int = 64
-    poll_interval_s: float = 0.02
     worker_log_dir: "Optional[str]" = None
     crash_after_nodes: "Optional[Dict[int, int]]" = None
-    inline_fallback: bool = True

@@ -17,9 +17,9 @@ Fleet mechanics (see the package docstring for the architecture):
   ``_new_incumbent`` (so reduced-cost fixing and incumbent telemetry
   fire exactly as always) and broadcast to every other live worker;
 * a worker that dies — crash, chaos ``os._exit``, or watchdog SIGKILL
-  past ``chunk_timeout_s`` — has its in-flight chunk re-queued; the
+  past :data:`CHUNK_TIMEOUT_S` — has its in-flight chunk re-queued; the
   survivors absorb the work, and with no survivors the coordinator
-  finishes the frontier inline (``inline_fallback``);
+  finishes the frontier inline;
 * in replay mode at most one chunk is in flight, assigned round-robin,
   making the global node sequence identical to ``workers=1``.
 """
@@ -67,15 +67,18 @@ _SHIPPED_CONFIG_FIELDS = (
     "objective_is_integral",
     "propagate_sos1",
     "leaf_subsolve",
-    "subsolve_time_limit_s",
     "lp_failure_limit",
     "reduced_cost_fixing",
     # Heuristics run independently in each worker.
     "heuristics",
-    "dive_every",
-    "dive_max_lp",
-    "polish_max_lp",
 )
+
+#: Wall-clock budget per dispatched chunk; a worker past it is
+#: SIGKILLed by the substrate watchdog and its chunk re-queued.
+CHUNK_TIMEOUT_S = 300.0
+
+#: Coordinator event-loop wait granularity.
+POLL_INTERVAL_S = 0.02
 
 #: How long to wait for a worker's ready handshake before declaring it
 #: stillborn (interpreter start + imports + model rebuild).
@@ -193,15 +196,9 @@ class ParallelBranchAndBound(BranchAndBound):
         target = 2 * self.parallel.workers
         budget = max(self.parallel.rampup_nodes, 1)
         while self._stack and len(self._stack) < target:
-            if self._lp_failure_abort:
-                return SolveStatus.ERROR
-            if self._out_of_time():
-                return SolveStatus.TIMEOUT
-            if (
-                self.config.node_limit is not None
-                and self._stats.nodes_explored >= self.config.node_limit
-            ):
-                return SolveStatus.NODE_LIMIT
+            limit_status = self._limit_status()
+            if limit_status is not None:
+                return limit_status
             if self._stats.nodes_explored >= budget:
                 break
             self._process_node(self._stack.pop())
@@ -370,18 +367,10 @@ class ParallelBranchAndBound(BranchAndBound):
         last_checkpoint_nodes = self._stats.nodes_explored
 
         while True:
-            if self._lp_failure_abort:
+            limit_status = self._limit_status()
+            if limit_status is not None:
                 self._requeue_all_in_flight()
-                return SolveStatus.ERROR
-            if self._out_of_time():
-                self._requeue_all_in_flight()
-                return SolveStatus.TIMEOUT
-            if (
-                self.config.node_limit is not None
-                and self._stats.nodes_explored >= self.config.node_limit
-            ):
-                self._requeue_all_in_flight()
-                return SolveStatus.NODE_LIMIT
+                return limit_status
 
             alive = [w for w in self._fleet if w.alive and w.ready]
             in_flight = [w for w in alive if w.in_flight is not None]
@@ -410,9 +399,7 @@ class ParallelBranchAndBound(BranchAndBound):
 
             # Wait for something to happen.
             try:
-                rank, message = self._events.get(
-                    timeout=self.parallel.poll_interval_s
-                )
+                rank, message = self._events.get(timeout=POLL_INTERVAL_S)
             except queue.Empty:
                 continue
             handle = self._fleet[rank]
@@ -476,7 +463,7 @@ class ParallelBranchAndBound(BranchAndBound):
             self._watchdog.watch(
                 handle.rank,
                 handle.proc,
-                time.monotonic() + self.parallel.chunk_timeout_s,
+                time.monotonic() + CHUNK_TIMEOUT_S,
                 handle.flags,
             )
         return chunk_seq + 1
@@ -550,39 +537,16 @@ class ParallelBranchAndBound(BranchAndBound):
     def _inline_fallback(self) -> "Optional[SolveStatus]":
         """Every worker is dead: finish the frontier in-process.
 
-        The answer must never depend on fleet health; with
-        ``inline_fallback`` disabled the run honestly degrades to
-        FEASIBLE/ERROR via the exactness-lost path instead.
+        The answer must never depend on fleet health.
         """
         self._requeue_all_in_flight()
-        if not self.parallel.inline_fallback:
-            self._exactness_lost = True
-            if self._proof is not None:
-                # These subtrees will never be explored: forfeit them
-                # explicitly or the audit would see them vanish.
-                for node in self._stack:
-                    self._proof.emit_forfeit(
-                        self._node_pid(node), "dropped", node.lb, node.ub
-                    )
-            self._stack.clear()
-            return None
         start_nodes = self._stats.nodes_explored
-        while self._stack:
-            if self._lp_failure_abort:
-                return SolveStatus.ERROR
-            if self._out_of_time():
-                return SolveStatus.TIMEOUT
-            if (
-                self.config.node_limit is not None
-                and self._stats.nodes_explored >= self.config.node_limit
-            ):
-                return SolveStatus.NODE_LIMIT
-            self._process_node(self._stack.pop())
-            self._maybe_checkpoint()
-        self._ptelemetry["inline_fallback_nodes"] = (
-            self._stats.nodes_explored - start_nodes
-        )
-        return None
+        limit_status = self._search()
+        if limit_status is None:
+            self._ptelemetry["inline_fallback_nodes"] = (
+                self._stats.nodes_explored - start_nodes
+            )
+        return limit_status
 
     # ------------------------------------------------------------------
     # checkpointing the sharded frontier

@@ -145,7 +145,6 @@ class Worker:
             if duals and (duals[0] or duals[1]):
                 buffer.set_root_duals(duals[0], duals[1])
             solver._proof = buffer
-            solver._owns_proof = False
         self._solver = solver
         self._rank = int(payload.get("rank", 0))
         self._crash_after = payload.get("crash_after_nodes")

@@ -118,7 +118,6 @@ def run_row(
     plain_search: bool = False,
     aggregated_dependencies: bool = False,
     presolve: bool = True,
-    resilient: bool = True,
     chaos=None,
     workers: int = 1,
     parallel_replay: bool = False,
@@ -132,10 +131,10 @@ def run_row(
     formulation-quality benchmarks (Tables 1-2) measure.
     ``presolve=False`` skips the structural prechecks and the static
     presolve pass (the presolve ablation benchmark compares both).
-    ``resilient=False`` solves through the bare LP backend instead of
-    the validating retry/fallback chain, and ``chaos`` (a
-    :class:`~repro.ilp.resilience.FaultPlan`) turns on seeded fault
-    injection — the resilience-overhead benchmark measures both.
+    ``chaos`` (a :class:`~repro.ilp.resilience.FaultPlan`) turns on
+    seeded fault injection under the validating retry/fallback LP
+    chain every bnb solve runs through — the resilience benchmark
+    measures what recovery costs.
     ``workers>1`` shards the branch-and-bound frontier across spawned
     worker processes (the ``--workers`` scaling benchmark), and
     ``parallel_replay=True`` selects the deterministic-replay
@@ -163,7 +162,6 @@ def run_row(
         time_limit_s=time_limit_s,
         plain_search=plain_search,
         presolve=presolve,
-        resilient=resilient,
         chaos=chaos,
         workers=workers,
         parallel_replay=parallel_replay,

@@ -121,6 +121,41 @@ class TestChaosSecondOpinion:
         assert backend.infeasible_overruled == 1
 
 
+class TestOneLPStack:
+    """Every bnb solve runs through the armored chain: there is no bare
+    backend, not for ``plain_search`` and not under chaos."""
+
+    @pytest.mark.parametrize(
+        "kwargs, chain",
+        [
+            ({}, ["scipy-highs", "simplex"]),
+            ({"plain_search": True}, ["scipy-highs", "simplex"]),
+            (
+                {"chaos": FaultPlan(kinds=("raise",), rate=0.5, seed=1)},
+                ["scipy-highs", "scipy-highs", "simplex"],
+            ),
+        ],
+        ids=["default", "plain-search", "chaos"],
+    )
+    def test_partitioner_backend_is_resilient(self, kwargs, chain):
+        backend = TemporalPartitioner(**kwargs)._make_lp_backend()
+        assert isinstance(backend, ResilientLPBackend)
+        assert [slot.name for slot in backend._slots] == chain
+        assert backend.double_check_infeasible is ("chaos" in kwargs)
+
+    def test_worker_rebuild_is_resilient_under_plain_search(self, chain3_spec):
+        from repro.core.formulation import FormulationOptions
+        from repro.core.parallel_support import build_worker_context
+
+        context = build_worker_context({
+            "spec": chain3_spec,
+            "options": FormulationOptions(),
+            "plain_search": True,
+        })
+        assert isinstance(context["lp_backend"], ResilientLPBackend)
+        assert context["node_prober"] is None
+
+
 class TestChaosKillAndResume:
     def test_resumed_chaotic_search_reproduces_optimum(self, tmp_path):
         baseline = BranchAndBound(tree_model()).solve()

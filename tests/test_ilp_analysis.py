@@ -22,7 +22,6 @@ from repro.core.precheck import (
     precheck_graph,
     precheck_spec,
 )
-from repro.errors import SolverError
 from repro.graph.builders import TaskGraphBuilder
 from repro.graph.generators import RandomGraphConfig, random_task_graph
 from repro.graph.operations import Operation, OpType
@@ -501,17 +500,6 @@ class TestSolverIntegration:
         assert reduced.stats.presolve is not None
         assert reduced.stats.presolve["rows_removed"] > 0
         assert solver.presolve_certificate is None
-
-    def test_bnb_rejects_eliminating_presolve(self, chain3_spec):
-        model, _ = build_model(chain3_spec, FormulationOptions())
-        with pytest.raises(SolverError):
-            BranchAndBound(
-                model,
-                rule=make_rule("paper"),
-                config=BranchAndBoundConfig(
-                    presolve=True, presolve_options=PresolveOptions(eliminate=True)
-                ),
-            )
 
     def test_partitioner_precheck_short_circuit(self, tight_device):
         from repro.core.partitioner import TemporalPartitioner

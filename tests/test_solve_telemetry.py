@@ -19,6 +19,7 @@ import math
 
 import pytest
 
+import repro.ilp.branch_bound as branch_bound
 from repro.core.partitioner import TemporalPartitioner
 from repro.ilp.branch_bound import BranchAndBound, BranchAndBoundConfig
 from repro.ilp.expr import lin_sum
@@ -97,8 +98,9 @@ class TestDeadlineRobustness:
         assert not result.has_solution
         assert result.gap is None
 
-    def test_rescue_budget_zero_times_out(self):
-        config = BranchAndBoundConfig(time_limit_s=0.0, rescue_node_budget=0)
+    def test_rescue_budget_zero_times_out(self, monkeypatch):
+        monkeypatch.setattr(branch_bound, "RESCUE_NODE_BUDGET", 0)
+        config = BranchAndBoundConfig(time_limit_s=0.0)
         result = BranchAndBound(two_incumbent_model(), config=config).solve()
         assert result.status is SolveStatus.TIMEOUT
         assert result.stats.rescue_nodes == 0
